@@ -4,7 +4,8 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run it from the root of a checkout. It builds quantcli, quantd and the
-benchmark's runner with dune, runs one workload, checks the outputs and
+benchmark's runner with dune in the build context of
+perfbench/dune-workspace, runs one workload, checks the outputs and
 prints one JSON line last: {"correct", "attempted", "failed", "metrics"}.
 With --trace 0 the metrics are the end-to-end metrics of BENCHMARK.json;
 with --trace 1 the run is a separate traced run that prints every
@@ -25,17 +26,18 @@ from statistics import median
 
 import benchlib
 
-QUANTCLI = "_build/default/bin/quantcli.exe"
-QUANTD = "_build/default/bin/quantd.exe"
-RUNNER = "_build/default/perfbench/runner/runner.exe"
-TARGETS = ["bin/quantcli.exe", "bin/quantd.exe", "perfbench/runner/runner.exe"]
+WORKSPACE = "perfbench/dune-workspace"
+QUANTCLI = "_build/perfbench/bin/quantcli.exe"
+QUANTD = "_build/perfbench/bin/quantd.exe"
+RUNNER = "_build/perfbench/perfbench/runner/runner.exe"
+TARGETS = ["./bin/quantcli.exe", "./bin/quantd.exe", "./perfbench/runner/runner.exe"]
 # Sockets and run reports; inside the checkout, ignored by git.
 WORK = ".perfbench"
 
 # Nominal seconds of one round of each workload. They only turn --seconds
 # into a number of rounds, so the work of a run is fixed by its
 # arguments, never by how fast the machine happens to be.
-ROUND_S = {"fischer5-check": 3.0, "synth-suite": 6.5}
+ROUND_S = {"fischer5-check": 3.0, "quantd-session": 1.75, "synth-suite": 6.5}
 
 # Rounds of the parts of the traced run.
 TRACE_CHECK_PAIRS = 5
@@ -75,23 +77,19 @@ def run_child(argv):
 
 
 class Tally:
-    """Operations attempted and failed, and checks over whole runs."""
+    """Operations attempted and failed. An operation is one process, one
+    request, one task or one check over a whole run; it fails on a wrong
+    output, an error reply, an exit code other than 0 or a failed check."""
 
     def __init__(self):
         self.attempted = 0
         self.failed = 0
-        self.correct = True
 
     def op(self, ok, what):
         self.attempted += 1
         if not ok:
             self.failed += 1
             log("failed:", what)
-
-    def check(self, ok, what):
-        if not ok:
-            self.correct = False
-            log("check failed:", what)
 
 
 # ---------------------------------------------------------------------
@@ -131,17 +129,18 @@ def fischer_check(tally, _seed, rounds):
     setups = []
     for _ in range(SETUPS):
         code, out, wall, _, _ = run_child(check_argv("fischer", 4, FISCHER_JOBS))
-        tally.check(code == 0, "warm-up check -n 4 exit %d" % code)
+        tally.op(code == 0, "warm-up check -n 4 exit %d" % code)
         setups.append(wall)
     runs = [run_child(FISCHER5) for _ in range(rounds)]
     for code, out, _, _, _ in runs:
         tally.op(code == 0 and verdicts_hold(out, FISCHER_QUERIES), "check -n 5: %r" % out)
-    tally.check(len({out for _, out, _, _, _ in runs}) == 1, "check -n 5 outputs differ between runs")
+    tally.op(len({out for _, out, _, _, _ in runs}) == 1, "check -n 5 outputs differ between runs")
     return {
         "setup_s": median(setups),
         "wall_s": rounds_total([r[2] for r in runs]),
         "cpu_s": rounds_total([r[3] for r in runs]),
         "peak_rss_mb": max(r[4] for r in runs),
+        "req_p50_ms": 1000.0 * median(r[2] for r in runs),
     }
 
 
@@ -168,11 +167,11 @@ def trace_check(tally):
     metrics = rep["metrics"]
     stats = stats[0]["stats"]
     run_s = phases["engine.run_sharded"]
-    code, out, _, _, _ = run_child([RUNNER, "replay", "--n", "5"])
+    code, out, _, _, _ = run_child([RUNNER, "replay"])
     tally.op(code == 0, "replay: %r" % out)
     replay = json.loads(out)
-    tally.check(replay["states"] == stats["visited"],
-                "replay BFS visited %d states, check %d" % (replay["states"], stats["visited"]))
+    tally.op(replay["states"] == stats["visited"],
+             "replay BFS visited %d states, check %d" % (replay["states"], stats["visited"]))
     gc = rep["gc"]
     return {
         "zones.seal_s": phases["dbm.seal"],
@@ -208,7 +207,7 @@ def trace_check(tally):
 
 
 # ---------------------------------------------------------------------
-# The quantd session of the traced run
+# quantd-session, and the session of the traced run
 
 DAEMON_JOBS = 1
 CHECK_FINGERPRINTS = [(m, n, j) for m in ("fischer", "train-gate") for n in (2, 3, 4) for j in (0, 1, 2)]
@@ -393,10 +392,9 @@ class Session:
             return result["divergences"] == 0 and result["agreed"] + result["skipped"] == params["cases"]
         return False
 
-    def run(self, d, plan):
-        for block in plan:
-            for kind, reqs in block:
-                self.send(d, kind, reqs)
+    def run_round(self, d, block):
+        """Send one round's requests. Returns their latencies, ms."""
+        return [ms for kind, reqs in block for ms in self.send(d, kind, reqs)]
 
     def latency_kind(self, kind, params):
         """The first check of a fingerprint is cold; the rest are
@@ -416,6 +414,7 @@ class Session:
             self.latency[self.latency_kind(kind, params)].append(ms)
         if kind == "smc_pair" and len(self.pairs) < RESENT_PAIRS:
             self.pairs.append((reqs, [r for r, _ in replies]))
+        return [ms for _, ms in replies]
 
     def verify(self):
         """Checks over the whole session, after its timed phase: pooled
@@ -424,15 +423,15 @@ class Session:
         n, m = 16, 2  # Modest.Brp.make () defaults, which modes runs
         runs = self.modes["runs"]
         for name, p in (("p1", benchlib.brp_p1(n, m)), ("p2", benchlib.brp_p2(n, m))):
-            self.tally.check(benchlib.within_binomial(self.modes[name], runs, p, MODES_Z),
-                             "modes %s: %d of %d runs, closed form %.3g" % (name, self.modes[name], runs, p))
+            self.tally.op(benchlib.within_binomial(self.modes[name], runs, p, MODES_Z),
+                          "modes %s: %d of %d runs, closed form %.3g" % (name, self.modes[name], runs, p))
         d = Daemon()
         try:
             for reqs, replies in self.pairs:
                 for req, fused in zip(reqs, replies):
                     ((alone, _),) = d.call([req])
-                    self.tally.check(alone.get("result") == fused.get("result"),
-                                     "pipelined smc reply differs when sent alone: %r" % (req,))
+                    self.tally.op(alone.get("result") == fused.get("result"),
+                                  "pipelined smc reply differs when sent alone: %r" % (req,))
         finally:
             d.stop()
 
@@ -443,7 +442,7 @@ def one_shot_checks(tally):
     ref = {}
     for m, n, j in CHECK_FINGERPRINTS:
         code, out, _, _, _ = run_child(check_argv(m, n, j))
-        tally.check(code == 0, "one-shot check %s -n %d jobs %d exit %d" % (m, n, j, code))
+        tally.op(code == 0, "one-shot check %s -n %d jobs %d exit %d" % (m, n, j, code))
         ref[(m, n, j)] = out
     return ref
 
@@ -463,39 +462,84 @@ def metrics_scrape(d):
     return reply["result"]["metrics"]
 
 
-def run_session(tally, seed, rounds):
-    """One checked session of the given rounds on a warm daemon. Returns
-    the session and the daemon's metrics scraped just before and just
-    after it."""
+def proc_cpu_s(pid):
+    """User plus system CPU of a live child process, all its threads."""
+    with open("/proc/%d/stat" % pid) as f:
+        fields = f.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def proc_peak_rss_mb(pid):
+    """Peak resident set (VmHWM) of a live child process, MiB."""
+    with open("/proc/%d/status" % pid) as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM for process %d" % pid)
+
+
+def run_session(tally, seed, rounds, setups):
+    """One checked session of the given rounds. Set-up starts a daemon and
+    warms it `setups` times; the session runs on the last one. Returns a
+    dict with the session, the set-up times, per-round wall and daemon
+    CPU, the daemon's peak RSS and its metrics scraped just before and
+    just after the rounds."""
     reference = one_shot_checks(tally)
     plan = session_plan(seed, rounds)
-    d = start_warm_daemon()
+    setup_s = []
+    for i in range(setups):
+        t0 = time.perf_counter()
+        d = start_warm_daemon()
+        setup_s.append(time.perf_counter() - t0)
+        if i < setups - 1:
+            tally.op(d.stop() == 0, "quantd did not shut down cleanly")
+    session = Session(tally, reference)
+    walls, cpus, p50s = [], [], []
     try:
-        session = Session(tally, reference)
         before = metrics_scrape(d)
-        session.run(d, plan)
+        for block in plan:
+            cpu0 = proc_cpu_s(d.proc.pid)
+            t0 = time.perf_counter()
+            p50s.append(median(session.run_round(d, block)))
+            walls.append(time.perf_counter() - t0)
+            cpus.append(proc_cpu_s(d.proc.pid) - cpu0)
         after = metrics_scrape(d)
+        rss = proc_peak_rss_mb(d.proc.pid)
     finally:
-        tally.check(d.stop() == 0, "quantd did not shut down cleanly")
+        tally.op(d.stop() == 0, "quantd did not shut down cleanly")
+    # The daemon observes a request's wall after rendering its reply, so
+    # the delta holds the first scrape too: its server time, a fraction
+    # of a millisecond, is charged to the session.
+    sent = sum(len(v) for v in session.latency.values())
+    served = after["serve.request_wall_s"]["count"] - before.get("serve.request_wall_s", {"count": 0})["count"]
+    tally.op(served == sent + 1, "serve.request_wall_s counted %d requests, sent %d" % (served - 1, sent))
     session.verify()
-    return session, before, after
+    return {"session": session, "setup_s": setup_s, "walls": walls, "cpus": cpus, "p50s": p50s,
+            "peak_rss_mb": rss, "before": before, "after": after}
+
+
+def quantd_session(tally, seed, rounds):
+    r = run_session(tally, seed, rounds, SETUPS)
+    return {
+        "setup_s": median(r["setup_s"]),
+        "wall_s": rounds_total(r["walls"]),
+        "cpu_s": rounds_total(r["cpus"]),
+        "peak_rss_mb": r["peak_rss_mb"],
+        "req_p50_ms": median(r["p50s"]),
+    }
 
 
 def trace_session(tally, seed):
-    """Per-layer figures of a shorter session: latency by request kind,
-    the daemon's own counters, and work rates."""
-    session, before, after = run_session(tally, seed, TRACE_SESSION_ROUNDS)
+    """Per-layer figures of a session: latency by request kind, the
+    daemon's own counters, and work rates."""
+    r = run_session(tally, seed, TRACE_SESSION_ROUNDS, 1)
+    before, after = r["before"], r["after"]
 
     def delta(name, field="value"):
         return after[name][field] - before.get(name, {field: 0})[field]
 
-    lat = session.latency
+    lat = r["session"].latency
     every = [ms for kind in lat for ms in lat[kind]]
-    # The daemon observes a request's wall after rendering its reply, so
-    # the delta holds the first scrape too: its server time, a fraction
-    # of a millisecond, is charged to the session.
-    served = delta("serve.request_wall_s", "count")
-    tally.check(served == len(every) + 1, "serve.request_wall_s counted %d requests, sent %d" % (served - 1, len(every)))
     hits, misses = delta("serve.reply_hits"), delta("serve.reply_misses")
     total_ms = {kind: sum(lat[kind]) for kind in lat}
     p99 = benchlib.tail_percentile(every, 99)
@@ -510,7 +554,6 @@ def trace_session(tally, seed):
         "serve.modes_p50_ms": median(lat["modes"]),
         "serve.fuzz_p50_ms": median(lat["fuzz"]),
         "serve.metrics_p50_ms": median(lat["metrics"]),
-        "serve.req_p50_ms": median(every),
         "serve.req_p99_ms": p99,
         "serve.reply_hit_ratio": hits / (hits + misses),
         "serve.smc_fused_per_batch": delta("serve.smc_fused_requests") / max(1, delta("serve.smc_batches")),
@@ -560,6 +603,7 @@ def synth_suite(tally, seed, rounds):
         "wall_s": rounds_total([r["ms"] / 1000.0 for r in res["rounds"]]),
         "cpu_s": rounds_total([r["cpu_s"] for r in res["rounds"]]),
         "peak_rss_mb": res["peak_rss_mb"],
+        "req_p50_ms": median(r["ms"] for r in res["rounds"]),
     }
 
 
@@ -583,7 +627,7 @@ def trace_synth(tally, seed):
 
 # ---------------------------------------------------------------------
 
-WORKLOADS = {"fischer5-check": fischer_check, "synth-suite": synth_suite}
+WORKLOADS = {"fischer5-check": fischer_check, "quantd-session": quantd_session, "synth-suite": synth_suite}
 
 
 def load_spec():
@@ -599,7 +643,8 @@ def build():
         if not os.path.isfile(path):
             die("%s not found: run from the root of a quantlib checkout" % path)
     try:
-        r = subprocess.run(["dune", "build", "--root", ".", "--cache=disabled"] + TARGETS, stdout=sys.stderr)
+        r = subprocess.run(["dune", "build", "--root", ".", "--workspace", WORKSPACE, "--cache=disabled"] + TARGETS,
+                           stdout=sys.stderr)
     except OSError as e:
         die("dune: %s" % e)
     if r.returncode != 0:
@@ -631,7 +676,7 @@ def main():
     if set(values) != set(units):
         die("metrics differ from BENCHMARK.json: %s" % sorted(set(values) ^ set(units)))
     print(json.dumps({
-        "correct": tally.correct,
+        "correct": tally.failed == 0,
         "attempted": tally.attempted,
         "failed": tally.failed,
         "metrics": {name: {"value": float(values[name]), "unit": units[name]} for name in units},

@@ -2,9 +2,9 @@
 """Run one workload k times, each with another seed, and print for every
 end-to-end metric its median and its spread: the distance between the
 first and third quartile as a share of the median, next to the metric's
-bound in BENCHMARK.json.
+bound in BENCHMARK.json. Every run measures run_seconds of BENCHMARK.json.
 
-    python3 perfbench/spread.py --workload NAME [-k 10] [--seconds S] [--first-seed N]
+    python3 perfbench/spread.py --workload NAME [-k 10] [--first-seed N]
 
 Run it from the root of a checkout, like run.py.
 """
@@ -24,21 +24,19 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", required=True)
     ap.add_argument("-k", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=None, help="default: run_seconds of BENCHMARK.json")
     ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args()
     if args.k < 2:
         sys.exit("spread.py: -k must be at least 2")
     with open("BENCHMARK.json") as f:
         spec = json.load(f)
-    seconds = args.seconds or spec["run_seconds"]
     values = {m["name"]: [] for m in spec["end_to_end"]}
     shares = set()
     for i in range(args.k):
         seed = args.first_seed + i
         out = subprocess.run(
             [sys.executable, RUN, "--workload", args.workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
+             "--seconds", str(spec["run_seconds"]), "--trace", "0"],
             stdout=subprocess.PIPE, text=True, check=True).stdout
         res = json.loads(out.strip().splitlines()[-1])
         print("seed %d: correct=%s attempted=%d failed=%d" % (seed, res["correct"], res["attempted"], res["failed"]),
